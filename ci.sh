@@ -69,11 +69,17 @@ assert all(s["clean"] for s in mix), [s for s in mix if not s["clean"]]
 print(f"verify gate: ok ({len(cells)} cells conform, {len(mix)} serve shapes clean)")
 EOF
 
-echo "== chaos smoke (seeded fault campaigns, zero hangs, zero violations) =="
+echo "== chaos smoke (seeded fault campaigns, zero hangs, zero violations, deterministic) =="
 # `timeout` doubles as the hang gate: every campaign must terminate under
 # the watchdog, so the whole sweep finishing inside the limit proves it.
+# Two identical runs: the byte-compare is the determinism gate for
+# single plans under the chain watchdog.
 timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- chaos \
   --seed 7 --campaigns 20 --metrics-out "$tmp/chaos.json" > /dev/null
+timeout 300 cargo run -q -p flashoverlap-cli --bin flashoverlap -- chaos \
+  --seed 7 --campaigns 20 --metrics-out "$tmp/chaos2.json" > /dev/null
+cmp "$tmp/chaos.json" "$tmp/chaos2.json" \
+  || { echo "chaos smoke: same seed wrote different metrics"; exit 1; }
 python3 - "$tmp/chaos.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:

@@ -1,14 +1,26 @@
-//! Chain-aware fault injection and watchdog recovery (shared by
-//! [`crate::sequence::execute_sequence`] and [`crate::pipeline::Pipeline`]).
+//! The chain executor: the one code path that enqueues and drives a
+//! program. [`OverlapPlan::execute_with`](crate::OverlapPlan::execute_with),
+//! [`Pipeline::execute_with`](crate::Pipeline::execute_with) and
+//! [`execute_sequence`](crate::execute_sequence) are adapters that
+//! describe a chain and hand it to [`run_chain`].
 //!
-//! Single-shot resilience (PR 3) watches one program on one stream pair.
-//! Chained execution — pipelined layers, sequenced batches — threads
-//! counting-table state across segments via parity-ping-ponged table
-//! reuse, so a wedge in segment `k` can silently poison every inheritor:
-//! the table `k + 2` rearms still holds `k`'s armed fault budget, and the
-//! compute stream parks forever on `k`'s never-recorded comm-done event.
-//! This module extends the watchdog/escalation ladder to whole chains
-//! under two rules:
+//! A chain is a list of [`Segment`]s: a plan with its optional
+//! functional inputs, fused epilogue and [`FaultPlan`], plus the
+//! [`Link`] to the segment before it. A single plan is a chain of one;
+//! steady-state iterations repeat it. Every segment runs on the same
+//! per-rank compute/communication stream pair. Counting tables are
+//! allocated once, sized for the widest segment, and ping-ponged
+//! between two sets; every reuse enqueues the rearm edges
+//! (wait-previous-comm → reset → ready → comm-wait) in the signal
+//! vocabulary SimSan understands. A link adds a serial barrier or a
+//! data dependency on top of the rearm.
+//!
+//! Resilient chains run under the chain watchdog. Table reuse threads
+//! counting-table state across segments, so a wedge in segment `k` could
+//! silently poison every inheritor: the table `k + 2` rearms still holds
+//! `k`'s armed fault budget, and the compute stream parks forever on
+//! `k`'s never-recorded comm-done event. The watchdog therefore keeps
+//! two rules:
 //!
 //! - **Table quarantine.** Before a segment's first increment can land,
 //!   a compute-stream callback disarms whatever fault budget the
@@ -34,42 +46,379 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use collectives::CollectiveRole;
+use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::stream::{
-    abort_counter_waits, enqueue, Callback, Delay, RecordEvent, WaitCounter, WaitEvent,
+    abort_counter_waits, enqueue, Callback, Delay, RecordEvent, ResetCounter, WaitCounter,
+    WaitEvent,
 };
 use gpu_sim::{
     Cluster, ClusterSim, GpuEventId, IncrementFault, RuntimeEvent, RuntimeEventKind, StuckWait,
 };
-use sim::{SimDuration, SimTime};
+use sim::{Sim, SimDuration, SimTime};
 
 use crate::error::{ChainPosition, FlashOverlapError};
 use crate::resilience::{Fault, FaultPlan, ResilientOutcome, WatchdogConfig};
-use crate::runtime::{OverlapPlan, ProgramHandles, StreamCtx};
+use crate::runtime::{FunctionalInputs, Instrumentation, OverlapPlan, ProgramHandles, StreamCtx};
+use crate::sequence::SequenceOutcome;
+
+/// How a segment is ordered behind the one before it, on top of the
+/// table rearm every link enqueues on reuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Link {
+    /// Cross-batch pipelining: the GEMM issues as soon as the previous
+    /// GEMM retires, while the previous collectives still drain.
+    Pipelined,
+    /// Serial barrier: the GEMM waits until the previous segment's
+    /// collectives drained.
+    Barrier,
+    /// Data dependency: the GEMM reads the previous segment's fused
+    /// epilogue output (pipeline layers).
+    Data,
+}
+
+/// One segment of a chain.
+pub(crate) struct Segment<'a> {
+    pub(crate) plan: &'a OverlapPlan,
+    pub(crate) inputs: Option<&'a FunctionalInputs>,
+    pub(crate) epilogue: Option<&'a ElementwiseOp>,
+    /// Faults armed at the segment's position (resilient chains only).
+    pub(crate) faults: &'a FaultPlan,
+    /// The link to the previous segment (ignored on the first).
+    pub(crate) link: Link,
+}
+
+/// Chain-wide modes.
+pub(crate) struct ChainOptions<'a> {
+    pub(crate) instrument: Option<&'a Instrumentation>,
+    pub(crate) trace: bool,
+    /// Runs under the chain watchdog with every segment's faults armed.
+    pub(crate) watchdog: Option<&'a WatchdogConfig>,
+    /// The segment a seeded [`crate::SignalMutation`] applies to.
+    pub(crate) mutation_segment: usize,
+    /// The segment whose table rearm is deliberately skipped (the
+    /// sanitizer self-test behind `SequenceOptions::drop_cross_batch_edge`).
+    pub(crate) drop_rearm: Option<usize>,
+}
+
+/// The fault plan of a segment that injects nothing.
+pub(crate) static NO_FAULTS: FaultPlan = FaultPlan { faults: Vec::new() };
+
+/// Pairs an optional resilient fault list with a chain of `len`
+/// segments: exactly one plan per segment, or none at all.
+pub(crate) fn segment_faults(
+    faults: Option<&[FaultPlan]>,
+    len: usize,
+) -> Result<Vec<&FaultPlan>, FlashOverlapError> {
+    match faults {
+        None => Ok(vec![&NO_FAULTS; len]),
+        Some(faults) if faults.len() == len => Ok(faults.iter().collect()),
+        Some(faults) => Err(FlashOverlapError::BadInputs {
+            reason: format!(
+                "{} fault plans for {len} chain segments (one per segment required)",
+                faults.len()
+            ),
+        }),
+    }
+}
+
+/// Enqueues `segments` on one simulated cluster and drives them to
+/// termination: under the chain watchdog when `options.watchdog` is set,
+/// otherwise until the event queue drains, followed by a quiescence
+/// check. Instrumented runs skip that check: a wedge a seeded
+/// [`crate::SignalMutation`] or a dropped rearm causes is left for the attached
+/// probe to report at drain time.
+///
+/// # Errors
+///
+/// Returns [`FlashOverlapError::BadInputs`] on an empty chain,
+/// mismatched rank counts, malformed inputs, epilogues or fault targets,
+/// a mutation target outside the chain, or modes that do not compose;
+/// [`FlashOverlapError::Deadlock`] when an uninstrumented schedule
+/// wedges; and [`FlashOverlapError::Simulation`] on engine failure.
+pub(crate) fn run_chain(
+    segments: &[Segment],
+    options: &ChainOptions,
+) -> Result<SequenceOutcome, FlashOverlapError> {
+    let first = validate(segments, options)?;
+    let default_instr = Instrumentation::default();
+    let instr = options.instrument.unwrap_or(&default_instr);
+    let mut world = first.plan.system.build_cluster(first.inputs.is_some());
+    if options.trace {
+        world.enable_op_spans();
+    }
+    if let Some(monitor) = &instr.monitor {
+        world.set_monitor(Rc::clone(monitor));
+    }
+    let mut sim: ClusterSim = Sim::new();
+    if let Some(probe) = &instr.probe {
+        sim.set_probe(Rc::clone(probe));
+    }
+    // Cluster-level faults (degraded links, stalls, stragglers) exist
+    // before the chain starts, whichever segment armed them.
+    let log: EventLog = Rc::default();
+    let faults_armed = match options.watchdog {
+        Some(_) => arm_cluster_faults(&mut world, &sim, segments, &log),
+        None => 0,
+    };
+    let streams = StreamCtx::create(&mut world, first.plan.system.n_gpus);
+    let enqueued = enqueue_chain(&mut world, &mut sim, &streams, segments, options, &log);
+    let (end, outcomes) = match options.watchdog {
+        Some(watchdog) => {
+            let run = drive_chain(&mut world, &mut sim, &enqueued, &streams, watchdog, &log)?;
+            (run.end, run.outcomes)
+        }
+        None => {
+            let end = sim.run(&mut world)?;
+            let instrumented =
+                instr.monitor.is_some() || instr.probe.is_some() || instr.mutation.is_some();
+            if !instrumented && options.drop_rearm.is_none() {
+                check_quiescent_chain(&world, &enqueued)?;
+            }
+            (end, vec![ResilientOutcome::Clean; segments.len()])
+        }
+    };
+    let spans = if options.trace {
+        world.op_spans.take().unwrap_or_default()
+    } else {
+        Vec::new()
+    };
+    let outputs = first.inputs.is_some().then(|| {
+        enqueued
+            .iter()
+            .map(|seg| seg.plan.extract_outputs(&world, &seg.handles))
+            .collect()
+    });
+    Ok(SequenceOutcome {
+        total: end - SimTime::ZERO,
+        reports: enqueued
+            .iter()
+            .map(|seg| seg.handles.probes.report())
+            .collect(),
+        spans,
+        outputs,
+        outcomes,
+        events: log.take(),
+        faults_armed,
+    })
+}
+
+/// Checks a chain before anything is enqueued; returns its first
+/// segment.
+fn validate<'s, 'a>(
+    segments: &'s [Segment<'a>],
+    options: &ChainOptions,
+) -> Result<&'s Segment<'a>, FlashOverlapError> {
+    let bad = |reason: String| Err(FlashOverlapError::BadInputs { reason });
+    let Some(first) = segments.first() else {
+        return bad("a chain needs at least one plan".into());
+    };
+    let (n, len) = (first.plan.system.n_gpus, segments.len());
+    for (i, seg) in segments.iter().enumerate() {
+        if seg.plan.system.n_gpus != n {
+            return bad(format!(
+                "plan {i} targets {} ranks but the chain runs on {n}",
+                seg.plan.system.n_gpus
+            ));
+        }
+        if let Some(inputs) = seg.inputs {
+            seg.plan.check_inputs(inputs)?;
+        }
+        if let Some(op) = seg.epilogue {
+            seg.plan.validate_epilogue(op)?;
+        }
+        seg.faults.validate(n, seg.plan.group_tile_counts().len())?;
+    }
+    if options.mutation_segment >= len {
+        return bad(format!(
+            "mutation targets segment {} of a {len}-segment chain",
+            options.mutation_segment
+        ));
+    }
+    if let Some(i) = options.drop_rearm {
+        if !(2..len).contains(&i) {
+            return bad(format!(
+                "no table rearm to drop at segment {i}: a {len}-segment chain \
+                 rearms segments 2..{len}"
+            ));
+        }
+    }
+    if options.watchdog.is_some() {
+        if options
+            .instrument
+            .is_some_and(|i| i.probe.is_some() || i.mutation.is_some())
+        {
+            return bad("resilient chains inject faults through FaultPlan, \
+                        not probes or signal mutations"
+                .into());
+        }
+        if options.drop_rearm.is_some() {
+            return bad("drop_cross_batch_edge is a sanitizer self-test, \
+                        incompatible with resilient execution"
+                .into());
+        }
+    }
+    Ok(first)
+}
+
+/// One of the two ping-ponged counting-table sets: per-rank tables and
+/// the comm-done events of the segment that last used them.
+struct TableSet {
+    tables: Vec<usize>,
+    last_use: Option<Vec<GpuEventId>>,
+}
+
+/// Enqueues every segment on `streams`, in chain order.
+fn enqueue_chain<'a>(
+    world: &mut Cluster,
+    sim: &mut ClusterSim,
+    streams: &StreamCtx,
+    segments: &[Segment<'a>],
+    options: &ChainOptions,
+    log: &EventLog,
+) -> Vec<ChainSegment<'a>> {
+    let mutation = options.instrument.and_then(|i| i.mutation);
+    // Tables sized for the widest segment: a reset clears every slot, so
+    // a narrower segment simply leaves the tail slots untouched.
+    let max_groups = segments
+        .iter()
+        .map(|s| s.plan.group_tile_counts().len())
+        .max()
+        .unwrap_or(0);
+    let (mut even, mut odd): (Option<TableSet>, Option<TableSet>) = (None, None);
+    let mut enqueued: Vec<ChainSegment<'a>> = Vec::with_capacity(segments.len());
+    for (i, seg) in segments.iter().enumerate() {
+        let parity = i % 2;
+        let set = if parity == 0 { &mut even } else { &mut odd }.get_or_insert_with(|| TableSet {
+            tables: world
+                .devices
+                .iter_mut()
+                .map(|dev| dev.create_counter(max_groups))
+                .collect(),
+            last_use: None,
+        });
+        // Reuse rearms the inherited tables. Skipping the rearm leaves
+        // the previous user's saturated counts in place, so this
+        // segment's waits pass on stale signals and its collectives read
+        // tiles the GEMM has not written — exactly what `drop_rearm`
+        // injects for the sanitizer self-test.
+        let ready = match set.last_use.take() {
+            Some(prev) if options.drop_rearm != Some(i) => {
+                Some(rearm(world, sim, streams, &set.tables, &prev))
+            }
+            _ => None,
+        };
+        if let (Link::Barrier, Some(prev)) = (seg.link, enqueued.last()) {
+            // Full barrier: no GEMM wave of this segment may issue until
+            // the previous segment's collectives drained.
+            for (d, (&compute, &ev)) in streams.compute.iter().zip(&prev.comm_done).enumerate() {
+                enqueue(world, sim, d, compute, Box::new(WaitEvent(ev)));
+            }
+        }
+        if options.watchdog.is_some() {
+            // Between the rearm (reset) and the program: the arming
+            // callback quarantines leftover budget on the inherited
+            // table, then arms this segment's own faults.
+            enqueue_segment_faults(world, sim, streams, i, seg.faults, &set.tables, log);
+        }
+        let activations = match (seg.link, enqueued.last()) {
+            (Link::Data, Some(prev)) if !prev.handles.epilogue_bufs.is_empty() => {
+                Some(prev.handles.epilogue_bufs.as_slice())
+            }
+            _ => None,
+        };
+        let handles = seg.plan.enqueue_program_on(
+            world,
+            sim,
+            streams,
+            seg.inputs,
+            seg.epilogue,
+            activations,
+            mutation.filter(|_| i == options.mutation_segment),
+            &set.tables,
+        );
+        // Later segments wait on these events (rearm edges, barriers);
+        // nothing waits on the last segment's, so it records none.
+        let comm_done = if i + 1 < segments.len() {
+            let events = new_events(world);
+            for (d, (&comm, &ev)) in streams.comm.iter().zip(&events).enumerate() {
+                enqueue(world, sim, d, comm, Box::new(RecordEvent(ev)));
+            }
+            events
+        } else {
+            Vec::new()
+        };
+        set.last_use = Some(comm_done.clone());
+        enqueued.push(ChainSegment::new(
+            seg.plan, handles, parity, ready, comm_done,
+        ));
+    }
+    enqueued
+}
+
+/// Rearms a reused table set: each rank's compute stream waits for the
+/// previous user's comm-done, resets its table and records a ready
+/// event. The comm stream waits on that event before it consults the
+/// table: a stale (pre-reset) count would satisfy the new segment's wait
+/// and release its collective before any tile is written (SimSan flags
+/// exactly this as use-before-signal when the edge is missing). Returns
+/// the per-rank ready events.
+fn rearm(
+    world: &mut Cluster,
+    sim: &mut ClusterSim,
+    streams: &StreamCtx,
+    tables: &[usize],
+    prev_comm_done: &[GpuEventId],
+) -> Vec<GpuEventId> {
+    let ready = new_events(world);
+    let ranks = streams
+        .compute
+        .iter()
+        .zip(&streams.comm)
+        .zip(tables.iter().zip(prev_comm_done))
+        .zip(&ready);
+    for (d, (((&compute, &comm), (&table, &prev)), &ready)) in ranks.enumerate() {
+        enqueue(world, sim, d, compute, Box::new(WaitEvent(prev)));
+        enqueue(world, sim, d, compute, Box::new(ResetCounter { table }));
+        enqueue(world, sim, d, compute, Box::new(RecordEvent(ready)));
+        enqueue(world, sim, d, comm, Box::new(WaitEvent(ready)));
+    }
+    ready
+}
+
+/// One fresh event per rank.
+fn new_events(world: &mut Cluster) -> Vec<GpuEventId> {
+    world
+        .devices
+        .iter_mut()
+        .map(|dev| dev.create_event())
+        .collect()
+}
 
 /// Shared fault/recovery timeline: segment-arming callbacks append from
 /// inside the simulation, the watchdog appends from outside.
-pub(crate) type EventLog = Rc<RefCell<Vec<RuntimeEvent>>>;
+type EventLog = Rc<RefCell<Vec<RuntimeEvent>>>;
 
-/// One chain segment (a pipeline layer or a sequenced batch) with the
-/// retained handles recovery needs: the comm-side event ids to re-record
-/// and the rearm gate to respect when re-enqueuing downstream.
-pub(crate) struct ChainSegment {
-    pub(crate) handles: ProgramHandles,
+/// One enqueued chain segment with the retained handles recovery needs:
+/// the comm-side event ids to re-record and the rearm gate to respect
+/// when re-enqueuing downstream.
+struct ChainSegment<'a> {
+    plan: &'a OverlapPlan,
+    handles: ProgramHandles,
     /// Table parity the segment inherited (`segment % 2`).
-    pub(crate) parity: usize,
+    parity: usize,
     /// Per-rank rearm-ready events of this segment's own table rearm
     /// (`None` for the first two segments, which get fresh tables).
-    pub(crate) ready: Option<Vec<GpuEventId>>,
+    ready: Option<Vec<GpuEventId>>,
     /// Per-rank end-of-segment comm-done events (the cross-batch /
-    /// cross-layer edges later segments wait on).
-    pub(crate) comm_done: Vec<GpuEventId>,
+    /// cross-layer edges later segments wait on; empty on the last).
+    comm_done: Vec<GpuEventId>,
     /// Which groups owe a collective (zero-payload groups excluded).
-    pub(crate) expected: Vec<bool>,
+    expected: Vec<bool>,
 }
 
-impl ChainSegment {
-    pub(crate) fn new(
-        plan: &OverlapPlan,
+impl<'a> ChainSegment<'a> {
+    fn new(
+        plan: &'a OverlapPlan,
         handles: ProgramHandles,
         parity: usize,
         ready: Option<Vec<GpuEventId>>,
@@ -79,6 +428,7 @@ impl ChainSegment {
             .map(|g| plan.group_send_region(g, 0).is_some())
             .collect();
         ChainSegment {
+            plan,
             handles,
             parity,
             ready,
@@ -91,7 +441,7 @@ impl ChainSegment {
 /// Whether every owed collective of the segment completed (and its GEMM
 /// retired). Rank 0 carries the probes; collectives are rendezvous, so
 /// rank 0 completing implies every rank completed.
-pub(crate) fn segment_complete(seg: &ChainSegment) -> bool {
+fn segment_complete(seg: &ChainSegment) -> bool {
     if seg.handles.probes.gemm_done.get().is_none() {
         return false;
     }
@@ -140,12 +490,13 @@ fn chain_end(segments: &[ChainSegment]) -> SimTime {
 }
 
 /// Maps starved waits onto chain positions: the starved rearm edge is
-/// named by the first incomplete segment watching that counter table.
-pub(crate) fn chain_positions(
-    waits: &[StuckWait],
-    segments: &[ChainSegment],
-) -> Vec<ChainPosition> {
+/// named by the first incomplete segment watching that counter table. A
+/// chain of one inherits no table, so it names none.
+fn chain_positions(waits: &[StuckWait], segments: &[ChainSegment]) -> Vec<ChainPosition> {
     let mut out: Vec<ChainPosition> = Vec::new();
+    if segments.len() < 2 {
+        return out;
+    }
     for w in waits {
         let found = segments.iter().enumerate().find(|(_, s)| {
             s.handles.tables.get(w.device).copied() == Some(w.table) && !segment_complete(s)
@@ -164,10 +515,11 @@ pub(crate) fn chain_positions(
     out
 }
 
-/// [`crate::runtime::check_quiescent`] for chains: the `Deadlock` error
-/// additionally names each starved wait's chain position (segment,
-/// parity, inherited table) — which rearm edge it starved.
-pub(crate) fn check_quiescent_chain(
+/// Turns a drained-but-wedged simulation into a diagnosable
+/// [`FlashOverlapError::Deadlock`] carrying the full counter context of
+/// every starved signal wait and, on longer chains, its chain position
+/// (segment, parity, inherited table) — which rearm edge it starved.
+fn check_quiescent_chain(
     world: &Cluster,
     segments: &[ChainSegment],
 ) -> Result<(), FlashOverlapError> {
@@ -182,39 +534,19 @@ pub(crate) fn check_quiescent_chain(
     })
 }
 
-/// Validates one fault plan per chain segment against its plan's shape.
-pub(crate) fn validate_chain_faults(
-    plans: &[&OverlapPlan],
-    faults: &[FaultPlan],
-) -> Result<(), FlashOverlapError> {
-    if faults.len() != plans.len() {
-        return Err(FlashOverlapError::BadInputs {
-            reason: format!(
-                "{} fault plans for {} chain segments (one per segment required)",
-                faults.len(),
-                plans.len()
-            ),
-        });
-    }
-    for (plan, fp) in plans.iter().zip(faults) {
-        fp.validate(plan.system.n_gpus, plan.group_tile_counts().len())?;
-    }
-    Ok(())
-}
-
 /// Arms the cluster-level (time-global) faults of every segment before
 /// the program starts: link degradation/stalls and straggler SMs exist
 /// for the whole chain. Returns the total number of faults armed across
 /// all segments (including the per-segment ones armed later).
-pub(crate) fn arm_cluster_faults(
+fn arm_cluster_faults(
     world: &mut Cluster,
     sim: &ClusterSim,
-    faults: &[FaultPlan],
+    segments: &[Segment],
     log: &EventLog,
 ) -> usize {
     let mut armed = 0;
-    for (segment, fp) in faults.iter().enumerate() {
-        for fault in &fp.faults {
+    for (segment, seg) in segments.iter().enumerate() {
+        for fault in &seg.faults.faults {
             armed += 1;
             match *fault {
                 Fault::LinkDegradation { slowdown } => {
@@ -233,7 +565,7 @@ pub(crate) fn arm_cluster_faults(
                     world
                         .devices
                         .get_mut(rank)
-                        .expect("validate_chain_faults proved the rank")
+                        .expect("validate proved the rank")
                         .occupy_comm_sms(sms);
                 }
                 // Slow ranks and counter faults arm at their segment's
@@ -281,7 +613,7 @@ fn fault_device(fault: &Fault) -> gpu_sim::DeviceId {
 /// callback first applies the table-quarantine rule: any fault budget
 /// the previous same-parity segment left armed is disarmed before this
 /// segment's faults go in.
-pub(crate) fn enqueue_segment_faults(
+fn enqueue_segment_faults(
     world: &mut Cluster,
     sim: &mut ClusterSim,
     streams: &StreamCtx,
@@ -395,13 +727,31 @@ struct SegState {
     /// Whether the segment's comm program was re-enqueued behind an
     /// upstream recovery.
     reissued: bool,
-    degraded: Option<String>,
+    /// Why the segment degraded, and the groups that had completed when
+    /// it did.
+    degraded: Option<(String, Vec<usize>)>,
+}
+
+/// Marks segment `f` degraded unless it already is (the first cause
+/// wins), recording the groups that completed before the overlap was
+/// abandoned.
+fn degrade(
+    state: &mut [SegState],
+    segments: &[ChainSegment],
+    f: usize,
+    cause: impl FnOnce() -> String,
+) {
+    if let (Some(slot), Some(seg)) = (state.get_mut(f), segments.get(f)) {
+        if slot.degraded.is_none() {
+            slot.degraded = Some((cause(), completed_groups(seg)));
+        }
+    }
 }
 
 /// Result of driving a chain to completion under the watchdog.
-pub(crate) struct ChainRun {
-    pub(crate) end: SimTime,
-    pub(crate) outcomes: Vec<ResilientOutcome>,
+struct ChainRun {
+    end: SimTime,
+    outcomes: Vec<ResilientOutcome>,
 }
 
 /// Drives an already-enqueued chain to termination under the chain
@@ -415,10 +765,9 @@ pub(crate) struct ChainRun {
 ///
 /// Returns [`FlashOverlapError::Simulation`] on engine failure only —
 /// wedges never escape as errors.
-pub(crate) fn drive_chain(
+fn drive_chain(
     world: &mut Cluster,
     sim: &mut ClusterSim,
-    plans: &[&OverlapPlan],
     segments: &[ChainSegment],
     streams: &StreamCtx,
     watchdog: &WatchdogConfig,
@@ -426,12 +775,13 @@ pub(crate) fn drive_chain(
 ) -> Result<ChainRun, FlashOverlapError> {
     // Per-segment budget: the predictor's expected latency times the
     // configured multiplier, plus the launch-skew window.
-    let budgets: Vec<SimDuration> = plans
+    let budgets: Vec<SimDuration> = segments
         .iter()
-        .map(|p| {
-            p.expected_latency()
+        .map(|s| {
+            s.plan
+                .expected_latency()
                 .mul_f64(watchdog.deadline_multiplier.max(1.0))
-                + SimDuration::from_nanos(p.system.launch_skew_ns.max(1))
+                + SimDuration::from_nanos(s.plan.system.launch_skew_ns.max(1))
         })
         .collect();
     let budget_of = |f: usize| budgets.get(f).copied().unwrap_or_default();
@@ -445,9 +795,10 @@ pub(crate) fn drive_chain(
     loop {
         rounds += 1;
         if rounds > max_rounds {
-            if let Some(slot) = frontier(segments).and_then(|f| state.get_mut(f)) {
-                slot.degraded
-                    .get_or_insert(format!("chain watchdog gave up after {rounds} rounds"));
+            if let Some(f) = frontier(segments) {
+                degrade(&mut state, segments, f, || {
+                    format!("chain watchdog gave up after {rounds} rounds")
+                });
             }
             break;
         }
@@ -464,34 +815,35 @@ pub(crate) fn drive_chain(
                     // Streams drained yet a segment is incomplete —
                     // unreachable for well-formed chains; terminate
                     // accountably instead of spinning.
-                    if let Some(slot) = state.get_mut(f) {
-                        slot.degraded
-                            .get_or_insert("chain stalled without a diagnosable wedge".into());
-                    }
+                    degrade(&mut state, segments, f, || {
+                        "chain stalled without a diagnosable wedge".into()
+                    });
                     break;
                 }
             };
-            let wedged_twice = state.get(f).is_some_and(|s| s.wedges >= 1);
-            let gemm_retired = segments
+            let wedges = state.get_mut(f).map_or(0, |s| {
+                s.wedges += 1;
+                s.wedges
+            });
+            if wedges > 1 {
+                // Even recovery wedged (recovery collectives wait on
+                // nothing but already-recorded state, so this should be
+                // unreachable). Give up without hanging.
+                degrade(&mut state, segments, f, || {
+                    format!("recovery wedged: {error}")
+                });
+                break;
+            }
+            if segments
                 .get(f)
-                .is_some_and(|s| s.handles.probes.gemm_done.get().is_some());
-            if let Some(slot) = state.get_mut(f) {
-                slot.wedges += 1;
-                if wedged_twice {
-                    // Even recovery wedged (recovery collectives wait on
-                    // nothing but already-recorded state, so this should
-                    // be unreachable). Give up without hanging.
-                    slot.degraded
-                        .get_or_insert(format!("recovery wedged: {error}"));
-                    break;
-                }
-                if !gemm_retired {
-                    // Re-issuing collectives before the GEMM retired
-                    // would read incomplete tiles; defensively degrade.
-                    slot.degraded
-                        .get_or_insert(format!("wedged before GEMM retirement: {error}"));
-                    break;
-                }
+                .is_some_and(|s| s.handles.probes.gemm_done.get().is_none())
+            {
+                // Re-issuing collectives before the GEMM retired would
+                // read incomplete tiles; defensively degrade.
+                degrade(&mut state, segments, f, || {
+                    format!("wedged before GEMM retirement: {error}")
+                });
+                break;
             }
             let fired = RuntimeEvent {
                 at: sim.now(),
@@ -502,7 +854,7 @@ pub(crate) fn drive_chain(
             };
             world.notify_runtime_event(&fired);
             log.borrow_mut().push(fired);
-            recover_chain(world, sim, plans, segments, f, streams, log, &mut state);
+            recover_chain(world, sim, segments, f, &error, streams, log, &mut state);
             deadline_frontier = f;
             deadline = sim.now() + budget_of(f);
         } else {
@@ -538,12 +890,12 @@ pub(crate) fn drive_chain(
                     log.borrow_mut().push(fired);
                 }
             } else if state.get(f).is_some_and(|s| s.degraded.is_none()) {
-                if let Some(slot) = state.get_mut(f) {
-                    slot.degraded = Some(format!(
+                degrade(&mut state, segments, f, || {
+                    format!(
                         "watchdog deadline exceeded after {} extensions",
                         watchdog.max_retries
-                    ));
-                }
+                    )
+                });
                 let fallback = RuntimeEvent {
                     at: sim.now(),
                     device: 0,
@@ -570,16 +922,15 @@ pub(crate) fn drive_chain(
         .iter()
         .zip(&state)
         .map(|(seg, st)| {
-            let recovered_groups = completed_groups(seg);
-            if let Some(cause) = &st.degraded {
+            if let Some((cause, recovered_groups)) = &st.degraded {
                 ResilientOutcome::Degraded {
                     cause: cause.clone(),
-                    recovered_groups,
+                    recovered_groups: recovered_groups.clone(),
                 }
             } else if !segment_complete(seg) {
                 ResilientOutcome::Degraded {
                     cause: "chain terminated before this segment completed".into(),
-                    recovered_groups,
+                    recovered_groups: completed_groups(seg),
                 }
             } else if !st.tail.is_empty() || st.reissued {
                 ResilientOutcome::Recovered {
@@ -606,9 +957,9 @@ pub(crate) fn drive_chain(
 fn recover_chain(
     world: &mut Cluster,
     sim: &mut ClusterSim,
-    plans: &[&OverlapPlan],
     segments: &[ChainSegment],
     f: usize,
+    error: &FlashOverlapError,
     streams: &StreamCtx,
     log: &EventLog,
     state: &mut [SegState],
@@ -643,16 +994,17 @@ fn recover_chain(
     //    compute streams parked on this segment's comm-done. Tail while
     //    part of the overlap survived; bulk (degrading the segment) when
     //    it produced nothing.
-    if let (Some(seg), Some(plan), Some(slot)) = (segments.get(f), plans.get(f), state.get_mut(f)) {
+    if let Some(seg) = segments.get(f) {
         let role = if completed_groups(seg).is_empty() {
-            slot.degraded
-                .get_or_insert("overlap abandoned: no group completed before the wedge".into());
+            degrade(state, segments, f, || format!("overlap abandoned: {error}"));
             CollectiveRole::Bulk
         } else {
             CollectiveRole::Tail
         };
-        let issued = reissue_groups(world, sim, plan, seg, streams, f, role, true, log);
-        slot.tail.extend(issued);
+        let issued = reissue_groups(world, sim, seg, streams, f, role, true, log);
+        if let Some(slot) = state.get_mut(f) {
+            slot.tail.extend(issued);
+        }
         rerecord_segment_events(world, sim, streams, seg);
     }
     // 5. Re-enqueue each later segment's comm program behind its
@@ -661,7 +1013,7 @@ fn recover_chain(
     //    already recorded; f+2's parks until its compute-side rearm
     //    (woken by the events re-recorded above) records it.
     for j in (f + 1)..segments.len() {
-        let (Some(seg), Some(plan)) = (segments.get(j), plans.get(j)) else {
+        let Some(seg) = segments.get(j) else {
             continue;
         };
         if let Some(ready) = &seg.ready {
@@ -675,7 +1027,6 @@ fn recover_chain(
         let issued = reissue_groups(
             world,
             sim,
-            plan,
             seg,
             streams,
             j,
@@ -711,7 +1062,6 @@ fn recover_chain(
 fn reissue_groups(
     world: &mut Cluster,
     sim: &mut ClusterSim,
-    plan: &OverlapPlan,
     seg: &ChainSegment,
     streams: &StreamCtx,
     segment: usize,
@@ -727,6 +1077,7 @@ fn reissue_groups(
         .iter()
         .map(Option::is_some)
         .collect();
+    let plan = seg.plan;
     let thresholds = plan.group_tile_counts();
     let (kind, what) = match role {
         CollectiveRole::Tail => (RuntimeEventKind::TailRecovery, "tail"),

@@ -61,7 +61,7 @@ pub enum FlashOverlapError {
         /// Every starved signal wait, with its counter context.
         waits: Vec<gpu_sim::StuckWait>,
         /// Chain positions of the starved waits (one per wait that maps
-        /// to a chain segment; empty for single-shot execution).
+        /// to a chain segment; empty for a chain of one).
         chain: Vec<ChainPosition>,
     },
     /// Functional inputs are inconsistent with the plan (wrong matrix

@@ -14,16 +14,18 @@
 //!    degrade or stall ([`gpu_sim::CommFault`],
 //!    [`interconnect::FabricSpec::degraded`]), and ranks can lose SMs or
 //!    start late.
-//! 2. **Watchdog** — [`crate::ExecOptions::resilient`] execution derives a
-//!    deadline from the latency predictor's expected time times
-//!    [`WatchdogConfig::deadline_multiplier`] and steps the simulation
+//! 2. **Watchdog** — resilient execution ([`crate::ExecOptions::resilient`],
+//!    and its pipeline and sequence mirrors) runs the chain watchdog: a
+//!    single plan is a chain of one. Each segment's deadline is the
+//!    latency predictor's expected time times
+//!    [`WatchdogConfig::deadline_multiplier`], and the simulation steps
 //!    against it. On expiry it escalates: deadline extensions while work
-//!    is still flowing, then a *tail recovery* (abort the starved
-//!    communicator state, re-issue the missing groups as tail
-//!    collectives gated on GEMM completion), then a *bulk degraded
-//!    fallback*. Every execution terminates with either a bit-exact
-//!    result or a structured [`ResilientOutcome::Degraded`] report —
-//!    never a hang.
+//!    is still flowing, then a *tail recovery* once the queue drains
+//!    wedged (abort the starved communicator state, re-issue the missing
+//!    groups as tail collectives over the retired GEMM's complete
+//!    tiles), or a *bulk degraded fallback* when no group completed.
+//!    Every execution terminates with either a bit-exact result or a
+//!    structured [`ResilientOutcome::Degraded`] report — never a hang.
 //! 3. **Campaigns** — [`run_chaos`] executes seeded fault campaigns and
 //!    compares each functional output against the fault-free reference.
 //!
@@ -44,7 +46,7 @@ use gpu_sim::gemm::GemmDims;
 use sim::{DetRng, SimDuration};
 
 use crate::error::FlashOverlapError;
-use crate::runtime::{CommPattern, FunctionalInputs, OverlapPlan, RunReport};
+use crate::runtime::{CommPattern, FunctionalInputs, OverlapPlan};
 use crate::system::SystemSpec;
 
 /// One injected fault. Ranks and groups refer to the plan the fault runs
@@ -323,27 +325,6 @@ impl ResilientOutcome {
             ResilientOutcome::Recovered { .. } => "recovered",
             ResilientOutcome::Degraded { .. } => "degraded",
         }
-    }
-}
-
-/// Results of one resilient execution.
-#[derive(Debug, Clone)]
-pub struct ResilientReport {
-    /// Timing (identical probe machinery to a plain run).
-    pub report: RunReport,
-    /// How the run terminated.
-    pub outcome: ResilientOutcome,
-    /// Fault and recovery timeline: every armed fault, watchdog firing,
-    /// tail recovery, and degraded fallback, in order.
-    pub events: Vec<gpu_sim::RuntimeEvent>,
-    /// Number of faults the plan armed.
-    pub faults_armed: usize,
-}
-
-impl ResilientReport {
-    /// Events of one kind, for assertions over the recovery timeline.
-    pub fn events_of(&self, kind: gpu_sim::RuntimeEventKind) -> Vec<&gpu_sim::RuntimeEvent> {
-        self.events.iter().filter(|e| e.kind == kind).collect()
     }
 }
 

@@ -11,7 +11,7 @@
 //! group's collective reads. Chained executions (`Pipeline` layers,
 //! `execute_sequence` batches) lower to one segment each, carrying the
 //! ping-pong counting-table parity and the presence of the rearm chain,
-//! exactly as the executors enqueue them.
+//! exactly as the chain executor enqueues them.
 //!
 //! The [`runtime_seam`] mapping is the other half of the conformance
 //! story: the `planverify` mutation registry is the single enumeration
@@ -36,7 +36,7 @@ use crate::resilience::Fault;
 use crate::runtime::{OverlapPlan, SignalMutation};
 
 /// Lowers one plan into a single-segment schedule model (table set 0, no
-/// rearm — single-shot executions never reuse a table).
+/// rearm — a chain of one never reuses a table).
 pub fn model_of_plan(plan: &OverlapPlan) -> ScheduleModel {
     ScheduleModel {
         n_ranks: plan.system.n_gpus,
@@ -57,7 +57,7 @@ fn node_map_of(plan: &OverlapPlan) -> Vec<usize> {
 }
 
 /// Lowers a chained execution — `Pipeline` layers or `execute_sequence`
-/// batches — into one segment per plan, with the executors' table
+/// batches — into one segment per plan, with the chain executor's table
 /// ping-pong (parity `i % 2`) and rearm chains (present from the first
 /// table reuse, segment 2, onward). `label` names the chain's unit in
 /// reports ("layer", "batch").
@@ -247,9 +247,10 @@ pub fn runtime_seam(mutation: &Mutation, path: ExecPath) -> RuntimeSeam {
             RuntimeSeam::Signal(SignalMutation::RaiseThreshold { rank, group })
         }
         (Mutation::DropIncrements { rank, group, count }, _) => {
-            // Every path: single-shot via `ExecOptions::resilient`,
-            // chains via `SequenceOptions::resilient` /
-            // `PipelineExecOptions::resilient` (per-segment FaultPlans).
+            // Every path: `ExecOptions::resilient` (a chain of one),
+            // `SequenceOptions::resilient` and
+            // `PipelineExecOptions::resilient` (per-segment FaultPlans),
+            // all driven by the same chain watchdog.
             RuntimeSeam::Fault(Fault::DroppedIncrement { rank, group, count })
         }
         (Mutation::DelayIncrements { rank, group, count }, _) => {

@@ -14,8 +14,8 @@ use std::rc::Rc;
 
 use flashoverlap::runtime::CommPattern;
 use flashoverlap::{
-    ExecOptions, FaultPlan, FunctionalInputs, Instrumentation, LayerSpec, OverlapPlan, Pipeline,
-    PipelineExecOptions, SystemSpec, WatchdogConfig,
+    execute_sequence, ExecOptions, FaultPlan, FunctionalInputs, Instrumentation, LayerSpec,
+    OverlapPlan, Pipeline, PipelineExecOptions, SequenceOptions, SystemSpec, WatchdogConfig,
 };
 use gpu_sim::elementwise::ElementwiseOp;
 use gpu_sim::gemm::GemmDims;
@@ -180,6 +180,62 @@ fn invalid_mode_combinations_are_rejected() {
     assert!(plan
         .execute_with(&ExecOptions::new().iterations(0))
         .is_err());
+    // Mutation and dropped-edge targets that name no batch (or no table
+    // reuse) would inject nothing, so a sanitizer self-test would pass
+    // without testing anything: they are refused instead.
+    let refs = [&plan, &plan, &plan];
+    for options in [
+        SequenceOptions::new().mutation_batch(3),
+        SequenceOptions::new().drop_cross_batch_edge(0),
+        SequenceOptions::new().drop_cross_batch_edge(1),
+        SequenceOptions::new().drop_cross_batch_edge(3),
+    ] {
+        assert!(
+            matches!(
+                execute_sequence(&refs, &options),
+                Err(flashoverlap::FlashOverlapError::BadInputs { .. })
+            ),
+            "{options:?} must be rejected"
+        );
+    }
+    assert!(execute_sequence(&refs, &SequenceOptions::new().mutation_batch(2)).is_ok());
+    assert!(execute_sequence(&refs, &SequenceOptions::new().drop_cross_batch_edge(2)).is_ok());
+}
+
+#[test]
+fn single_plan_is_a_chain_of_one() {
+    // `execute_with` describes a chain of one segment: the sequence and
+    // pipeline entry points given the same single segment must report
+    // the same schedule, spans and data.
+    let plan = plan();
+    let inputs = FunctionalInputs::random(plan.dims, 2, 44);
+    let single = plan
+        .execute_with(&ExecOptions::new().functional(&inputs).trace())
+        .unwrap();
+    let sequence = execute_sequence(
+        &[&plan],
+        &SequenceOptions::new()
+            .functional(std::slice::from_ref(&inputs))
+            .trace(),
+    )
+    .unwrap();
+    assert_eq!(sequence.reports, vec![single.report.clone()]);
+    assert_eq!(sequence.spans, single.spans);
+    assert_eq!(sequence.outputs, single.outputs.map(|o| vec![o]));
+
+    let op = ElementwiseOp::Relu;
+    let fused = plan
+        .execute_with(&ExecOptions::new().functional(&inputs).epilogue(&op))
+        .unwrap();
+    let pipeline =
+        Pipeline::with_plans(small_system(), vec![plan], vec![Some(op.clone())]).unwrap();
+    let layer = pipeline
+        .execute_with(
+            &PipelineExecOptions::new().functional(&inputs.a, std::slice::from_ref(&inputs.b)),
+        )
+        .unwrap();
+    assert_eq!(layer.report.layers, vec![fused.report]);
+    assert_eq!(layer.outputs, fused.outputs);
 }
 
 fn pipeline() -> Pipeline {

@@ -5,7 +5,10 @@
 
 use flashoverlap::resilience::{FaultPlan, ResilientOutcome, WatchdogConfig};
 use flashoverlap::runtime::{CommPattern, FunctionalInputs};
-use flashoverlap::{ExecOptions, OverlapPlan, SystemSpec, WavePartition};
+use flashoverlap::{
+    execute_sequence, ExecOptions, OverlapPlan, Pipeline, PipelineExecOptions, SequenceOptions,
+    SystemSpec, WavePartition,
+};
 use gpu_sim::gemm::{GemmConfig, GemmDims};
 use proptest::prelude::*;
 
@@ -90,5 +93,43 @@ proptest! {
         prop_assert_eq!(&a.outcome, &b.outcome);
         prop_assert_eq!(a.report.latency, b.report.latency);
         prop_assert_eq!(a.events.len(), b.events.len());
+    }
+
+    /// A single plan is a chain of one: its resilient run, the same plan
+    /// as a one-batch sequence and as a one-layer pipeline reach the same
+    /// verdict, latency and outputs under every seeded fault plan.
+    #[test]
+    fn resilient_single_plan_is_a_chain_of_one(seed in any::<u64>()) {
+        let plan = plan_for(256, 256, 64, 2);
+        let faults = FaultPlan::random(seed, 2, plan.partition.num_groups());
+        let watchdog = WatchdogConfig::default();
+        let inputs = FunctionalInputs::random(plan.dims, 2, seed ^ 0x51);
+        let single = plan
+            .execute_with(&ExecOptions::new().functional(&inputs).resilient(&faults, &watchdog))
+            .expect("single plan");
+        let sequence = execute_sequence(
+            &[&plan],
+            &SequenceOptions::new()
+                .functional(std::slice::from_ref(&inputs))
+                .resilient(std::slice::from_ref(&faults), &watchdog),
+        )
+        .expect("sequence of one");
+        let pipeline = Pipeline::with_plans(plan.system.clone(), vec![plan_for(256, 256, 64, 2)], vec![None])
+            .expect("pipeline of one");
+        let layer = pipeline
+            .execute_with(
+                &PipelineExecOptions::new()
+                    .functional(&inputs.a, std::slice::from_ref(&inputs.b))
+                    .resilient(std::slice::from_ref(&faults), &watchdog),
+            )
+            .expect("pipeline of one");
+        for (label, latency, outputs) in [
+            (sequence.outcomes[0].label(), sequence.reports[0].latency, sequence.outputs.map(|mut o| o.remove(0))),
+            (layer.outcomes[0].label(), layer.report.layers[0].latency, layer.outputs),
+        ] {
+            prop_assert_eq!(label, single.outcome.label());
+            prop_assert_eq!(latency, single.report.latency);
+            prop_assert_eq!(&outputs, &single.outputs);
+        }
     }
 }
